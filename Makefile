@@ -54,12 +54,14 @@ bench:
 	$(GO) test -run NONE -bench BenchmarkExecSeqVsParallel -benchtime 5x .
 
 # Short fuzzing pass over the SQL and policy parsers, the compiled
-# kernel / interpreter parity harness, the wire-format decoder, and the
-# storage engine's page decoder and B+ tree (10s per target).
+# kernel / interpreter parity harness, the hashed-vs-nested-loop join
+# parity harness, the wire-format decoder, and the storage engine's page
+# decoder and B+ tree (10s per target).
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzParseSQL -fuzztime 10s ./internal/sqlparse
 	$(GO) test -run NONE -fuzz FuzzParsePolicy -fuzztime 10s ./internal/sqlparse
 	$(GO) test -run NONE -fuzz FuzzKernelParity -fuzztime 10s ./internal/expr
+	$(GO) test -run NONE -fuzz FuzzNLJoinParity -fuzztime 10s ./internal/executor
 	$(GO) test -run NONE -fuzz FuzzWireDecode -fuzztime 10s ./internal/network
 	$(GO) test -run NONE -fuzz FuzzPageDecode -fuzztime 10s ./internal/store
 	$(GO) test -run NONE -fuzz FuzzBTreeOps -fuzztime 10s ./internal/store

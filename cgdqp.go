@@ -885,13 +885,14 @@ func (s *System) query(ctx context.Context, sql string, o *obs.Observer) (*Resul
 		capture = obs.NewAuditLog()
 		runObs = o.WithAudit(capture)
 	}
-	// Telemetry needs per-operator actuals: install a profile when the
-	// feedback loop or slow-query log is on and the caller did not bring
-	// one (EXPLAIN ANALYZE does). Installed after the cache gate so
-	// cache-served queries keep bypassing profiling.
+	// Telemetry needs per-operator row counts: install a counting
+	// profile (no clock reads) when the feedback loop or slow-query log
+	// is on and the caller did not bring one (EXPLAIN ANALYZE brings a
+	// timed one). Installed after the cache gate so cache-served queries
+	// keep bypassing profiling.
 	prof := o.Prof()
 	if prof == nil && (s.fb != nil || s.slow != nil) {
-		prof = obs.NewPlanProfile()
+		prof = obs.NewCountingProfile()
 		runObs = runObs.WithProfile(prof)
 	}
 	var rows []Row

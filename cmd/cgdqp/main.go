@@ -350,8 +350,12 @@ func main() {
 			}
 		}
 		qo := obsv
-		if *explainAnalyze || fb != nil || slowLog != nil {
+		switch {
+		case *explainAnalyze:
 			qo = qo.WithProfile(obs.NewPlanProfile())
+		case fb != nil || slowLog != nil:
+			// Feedback and the slow log read counts only: no clock reads.
+			qo = qo.WithProfile(obs.NewCountingProfile())
 		}
 		var capture *obs.AuditLog
 		if fill != nil && obsv.AuditSink() != nil {

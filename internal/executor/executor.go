@@ -9,6 +9,7 @@ package executor
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"cgdqp/internal/cluster"
@@ -107,7 +108,7 @@ func buildObs(n *plan.Node, env buildEnv) (Operator, error) {
 	}
 	var op Operator
 	var err error
-	switch n.Kind {
+	switch env.opt.execKind(n) {
 	case plan.TableScan, plan.Scan:
 		op, err = newScan(n, env.c)
 	case plan.IndexScan:
@@ -143,7 +144,7 @@ func buildObs(n *plan.Node, env buildEnv) (Operator, error) {
 		return nil, err
 	}
 	if prof := env.obsv.Prof(); prof != nil {
-		op = &profOp{op: op, stats: prof.Stats(n)}
+		op = newProfOp(op, prof, n)
 	}
 	return op, nil
 }
@@ -551,12 +552,22 @@ func (p *vecFilterProjectOp) Close() error { return p.child.Close() }
 // copies, and hash-collision rechecks compare typed lanes; any chunk
 // that does not vectorize falls back to the row path with identical
 // results and error timing.
+//
+// A candidate pair matches when its keys are equal under Value.Compare
+// (the recheck behind every hash hit) and then the residual holds, so
+// the residual is evaluated only on key-equal pairs, all of which a
+// nested loop over the same predicate evaluates too. A float NaN key is
+// the one value no hash can place: Compare orders NaN equal to every
+// number. Probe rows with a NaN key — and every probe row once a build
+// row has one — are therefore joined by the full predicate against all
+// build rows in arrival order, the nested loop's own rule.
 type hashJoinOp struct {
 	node         *plan.Node
 	probe, build chunkFeed
 	leftKeys     []expr.Expr // bound against left schema
 	rightKeys    []expr.Expr // bound against right schema
 	residual     expr.Expr   // bound against concatenated schema
+	cond         expr.Expr   // the whole predicate, concatenated schema
 
 	vec            bool  // kernels on and all equi-keys are bare columns
 	lCols, rCols   []int // key column indexes per side
@@ -567,7 +578,8 @@ type hashJoinOp struct {
 	// Build side, vectorized mode: rows in arrival order, with per-hash
 	// chains. table maps a key hash to its chain's first and last row;
 	// next links rows within one, so chain iteration order matches the
-	// row path's per-hash append order.
+	// row path's per-hash append order. buildRows holds every build row
+	// with no NULL key, in both modes.
 	buildRows   []expr.Row
 	table       chainTable
 	next        []int32
@@ -577,6 +589,8 @@ type hashJoinOp struct {
 	// key hash in arrival order. Kept deliberately simple — it is the
 	// baseline the vectorized mode is measured and checked against.
 	rowBuckets map[uint64][]expr.Row
+	// wild: a build row has a NaN key (see the type comment).
+	wild bool
 
 	// Probe state: the first probe chunk is peeked at Open (to skip the
 	// hash-table build when the probe side is provably empty) and
@@ -592,6 +606,7 @@ type hashJoinOp struct {
 
 	keyVecs []*expr.Vec // scratch: key vectors of the current chunk
 	pairs   [][2]int32  // scratch: (probe row, build row) matches
+	scratch expr.Row    // scratch: a candidate pair's joined row
 }
 
 // keyEqMode is the typed recheck strategy for one equi-key pair, fixed
@@ -754,11 +769,13 @@ func newHashJoinBatch(n *plan.Node, left, right BatchOperator, vec bool) (Operat
 	return makeHashJoin(n, &batchFeed{src: left}, &batchFeed{src: right}, vec)
 }
 
-func makeHashJoin(n *plan.Node, probe, build chunkFeed, vec bool) (Operator, error) {
+// equiKeys splits a join predicate into its column = column conjuncts
+// whose columns bind one to each child — left keys bound against the
+// left schema, right keys against the right — and the remaining
+// residual conjuncts, in predicate order.
+func equiKeys(n *plan.Node) (lk, rk, residual []expr.Expr) {
 	lres := resolver(n.Children[0])
 	rres := resolver(n.Children[1])
-	var lk, rk []expr.Expr
-	var residual []expr.Expr
 	for _, c := range expr.Conjuncts(n.Pred) {
 		cmp, ok := c.(*expr.Cmp)
 		if ok && cmp.Op == expr.EQ {
@@ -784,8 +801,50 @@ func makeHashJoin(n *plan.Node, probe, build chunkFeed, vec bool) (Operator, err
 		}
 		residual = append(residual, c)
 	}
+	return lk, rk, residual
+}
+
+// hashNL reports whether an NLJoin/Join node runs on the hash-join
+// path, with its right (inner) child as the build side: its predicate
+// has a column = column conjunct and no key pair whose lane types force
+// the eqSlow recheck, where Value.Compare can raise an incomparable-type
+// error on pairs the hash table never pairs up. The hash path emits the
+// nested loop's rows in the nested loop's order — per outer row, its
+// matches in inner arrival order — so only the local algorithm changes.
+func (o ExecOptions) hashNL(n *plan.Node) bool {
+	if o.nestedLoop {
+		return false
+	}
+	lk, rk, _ := equiKeys(n)
+	if len(lk) == 0 {
+		return false
+	}
+	lt, rt := colTypes(n.Children[0]), colTypes(n.Children[1])
+	for i := range lk {
+		if keyMode(lt[lk[i].(*expr.Col).Index], rt[rk[i].(*expr.Col).Index]) == eqSlow {
+			return false
+		}
+	}
+	return true
+}
+
+// execKind is the operator kind a node executes as: NLJoin/Join nodes
+// the hash path can take run as HashJoin.
+func (o ExecOptions) execKind(n *plan.Node) plan.Kind {
+	if (n.Kind == plan.NLJoin || n.Kind == plan.Join) && o.hashNL(n) {
+		return plan.HashJoin
+	}
+	return n.Kind
+}
+
+func makeHashJoin(n *plan.Node, probe, build chunkFeed, vec bool) (Operator, error) {
+	lk, rk, residual := equiKeys(n)
 	if len(lk) == 0 {
 		return nil, fmt.Errorf("executor: hash join without equi-key: %v", n.Pred)
+	}
+	cond, err := expr.Bind(n.Pred, resolver(n))
+	if err != nil {
+		return nil, fmt.Errorf("executor: join predicate bind: %w", err)
 	}
 	var res expr.Expr
 	if len(residual) > 0 {
@@ -797,7 +856,7 @@ func makeHashJoin(n *plan.Node, probe, build chunkFeed, vec bool) (Operator, err
 	}
 	j := &hashJoinOp{
 		node: n, probe: probe, build: build,
-		leftKeys: lk, rightKeys: rk, residual: res,
+		leftKeys: lk, rightKeys: rk, residual: res, cond: cond,
 		lTypes: colTypes(n.Children[0]), rTypes: colTypes(n.Children[1]),
 	}
 	if vec {
@@ -830,19 +889,32 @@ func makeHashJoin(n *plan.Node, probe, build chunkFeed, vec bool) (Operator, err
 	return j, nil
 }
 
-func hashKey(keys []expr.Expr, row expr.Row) (uint64, bool, error) {
+// keyState classifies one row's join key for hashing.
+type keyState uint8
+
+const (
+	keyNull   keyState = iota // a key is NULL: the row never matches
+	keyHashed                 // the key hash locates every possible match
+	keyWild                   // a key is a float NaN: no hash locates its matches
+)
+
+func hashKey(keys []expr.Expr, row expr.Row) (uint64, keyState, error) {
 	var h uint64 = 1469598103934665603
+	state := keyHashed
 	for _, k := range keys {
 		v, err := expr.Eval(k, row)
 		if err != nil {
-			return 0, false, err
+			return 0, keyNull, err
 		}
 		if v.IsNull() {
-			return 0, false, nil // NULL keys never match
+			return 0, keyNull, nil // NULL keys never match
+		}
+		if v.T == expr.TFloat && math.IsNaN(v.F) {
+			state = keyWild
 		}
 		h = h*1099511628211 ^ v.Hash()
 	}
-	return h, true, nil
+	return h, state, nil
 }
 
 func (j *hashJoinOp) Open() error {
@@ -863,8 +935,8 @@ func (j *hashJoinOp) Open() error {
 	if err := j.build.open(); err != nil {
 		return err
 	}
+	j.buildRows, j.wild = j.buildRows[:0], false
 	if j.vec {
-		j.buildRows = j.buildRows[:0]
 		j.table.reset(j.buildSizeHint())
 		j.next = j.next[:0]
 		j.buildKeysOK = true
@@ -905,19 +977,25 @@ func (j *hashJoinOp) buildTable() error {
 // the reference bucket map. In vectorized mode valid rows link into the
 // chains, reading the key columns directly when the chunk vectorizes
 // and row by row otherwise; one impure chunk disables the typed recheck
-// for the whole build (the key arrays stop tracking buildRows).
+// for the whole build (the key arrays stop tracking buildRows). Rows
+// with a NaN key are kept in buildRows but never hashed.
 func (j *hashJoinOp) insertChunk(chunk *Batch) error {
 	rows := chunk.Rows()
 	if !j.vec {
 		for _, row := range rows {
-			h, valid, err := hashKey(j.rightKeys, row)
+			h, st, err := hashKey(j.rightKeys, row)
 			if err != nil {
 				return err
 			}
-			if !valid {
+			switch st {
+			case keyNull:
 				continue
+			case keyWild:
+				j.wild = true
+			default:
+				j.rowBuckets[h] = append(j.rowBuckets[h], row)
 			}
-			j.rowBuckets[h] = append(j.rowBuckets[h], row)
+			j.buildRows = append(j.buildRows, row)
 		}
 		return nil
 	}
@@ -928,37 +1006,40 @@ func (j *hashJoinOp) insertChunk(chunk *Batch) error {
 			if sel != nil {
 				si = int(sel[r])
 			}
-			h, valid := j.hashVecKeys(si)
-			if !valid {
+			h, st := j.hashVecKeys(si)
+			if st == keyNull {
 				continue // NULL keys never match
 			}
-			idx := int32(len(j.buildRows))
-			j.buildRows = append(j.buildRows, rows[r])
-			j.next = append(j.next, -1)
+			idx := j.appendBuild(rows[r])
 			if j.buildKeysOK {
 				for k := range j.keyArrs {
 					j.keyArrs[k].appendFrom(j.keyVecs[k], si)
 				}
 			}
-			j.link(h, idx)
+			j.link(h, idx, st == keyWild)
 		}
 		return nil
 	}
 	j.buildKeysOK = false
 	for _, row := range rows {
-		h, valid, err := hashKey(j.rightKeys, row)
+		h, st, err := hashKey(j.rightKeys, row)
 		if err != nil {
 			return err
 		}
-		if !valid {
+		if st == keyNull {
 			continue
 		}
-		idx := int32(len(j.buildRows))
-		j.buildRows = append(j.buildRows, row)
-		j.next = append(j.next, -1)
-		j.link(h, idx)
+		j.link(h, j.appendBuild(row), st == keyWild)
 	}
 	return nil
+}
+
+// appendBuild appends a vectorized-mode build row, returning its index.
+func (j *hashJoinOp) appendBuild(row expr.Row) int32 {
+	idx := int32(len(j.buildRows))
+	j.buildRows = append(j.buildRows, row)
+	j.next = append(j.next, -1)
+	return idx
 }
 
 // chunkKeyVecs resolves one side's key columns over a chunk into
@@ -980,19 +1061,28 @@ func (j *hashJoinOp) chunkKeyVecs(chunk *Batch, cols []int, types []expr.Type) b
 
 // hashVecKeys combines the key hashes of (pre-selection) row si,
 // bit-identical to hashKey over the row.
-func (j *hashJoinOp) hashVecKeys(si int) (uint64, bool) {
+func (j *hashJoinOp) hashVecKeys(si int) (uint64, keyState) {
 	var h uint64 = 1469598103934665603
+	state := keyHashed
 	for _, v := range j.keyVecs {
 		if v.IsNullAt(si) {
-			return 0, false
+			return 0, keyNull
+		}
+		if v.T == expr.TFloat && math.IsNaN(v.F[si]) {
+			state = keyWild
 		}
 		h = h*1099511628211 ^ v.HashAt(si)
 	}
-	return h, true
+	return h, state
 }
 
-// link appends build row idx to hash h's chain.
-func (j *hashJoinOp) link(h uint64, idx int32) {
+// link appends build row idx to hash h's chain; a NaN-keyed (wild)
+// row is left unchained and marks the whole build wild.
+func (j *hashJoinOp) link(h uint64, idx int32, wild bool) {
+	if wild {
+		j.wild = true
+		return
+	}
 	si := j.table.slot(h)
 	s := &j.table.slots[si]
 	if s.head >= 0 {
@@ -1083,38 +1173,38 @@ probeLoop:
 		if sel != nil {
 			si = int(sel[r])
 		}
-		h, valid := j.hashVecKeys(si)
-		if !valid {
+		h, st := j.hashVecKeys(si)
+		if st == keyNull {
+			continue
+		}
+		if st == keyWild || j.wild {
+			j.emitPairs(rows)
+			if err := j.joinAll(rows[r]); err != nil {
+				j.pendErr = err
+				break probeLoop
+			}
 			continue
 		}
 		for bi := j.table.lookup(h); bi >= 0; bi = j.next[bi] {
-			if j.residual != nil {
-				out := concatRow(rows[r], j.buildRows[bi])
-				keep, err := expr.EvalBool(j.residual, out)
-				if err != nil {
-					j.pendErr = err
-					break probeLoop
-				}
-				if !keep {
-					continue
-				}
-				eq, err := j.recheck(typed, si, bi, rows[r])
-				if err != nil {
-					j.pendErr = err
-					break probeLoop
-				}
-				if eq {
-					j.out = append(j.out, out)
-				}
-				continue
-			}
 			eq, err := j.recheck(typed, si, bi, rows[r])
 			if err != nil {
 				j.pendErr = err
 				break probeLoop
 			}
-			if eq {
+			if !eq {
+				continue
+			}
+			if j.residual == nil {
 				j.pairs = append(j.pairs, [2]int32{int32(r), bi})
+				continue
+			}
+			out, keep, err := joinMatch(j.residual, rows[r], j.buildRows[bi], &j.scratch)
+			if err != nil {
+				j.pendErr = err
+				break probeLoop
+			}
+			if keep {
+				j.out = append(j.out, out)
 			}
 		}
 	}
@@ -1128,12 +1218,19 @@ probeLoop:
 func (j *hashJoinOp) probeChunkMap(rows []expr.Row) {
 probeLoop:
 	for _, row := range rows {
-		h, valid, err := hashKey(j.leftKeys, row)
+		h, st, err := hashKey(j.leftKeys, row)
 		if err != nil {
 			j.pendErr = err
 			break probeLoop
 		}
-		if !valid {
+		if st == keyNull {
+			continue
+		}
+		if st == keyWild || j.wild {
+			if err := j.joinAll(row); err != nil {
+				j.pendErr = err
+				break probeLoop
+			}
 			continue
 		}
 		for _, bRow := range j.rowBuckets[h] {
@@ -1155,12 +1252,19 @@ probeLoop:
 func (j *hashJoinOp) probeChunkRows(rows []expr.Row) {
 probeLoop:
 	for _, row := range rows {
-		h, valid, err := hashKey(j.leftKeys, row)
+		h, st, err := hashKey(j.leftKeys, row)
 		if err != nil {
 			j.pendErr = err
 			break probeLoop
 		}
-		if !valid {
+		if st == keyNull {
+			continue
+		}
+		if st == keyWild || j.wild {
+			if err := j.joinAll(row); err != nil {
+				j.pendErr = err
+				break probeLoop
+			}
 			continue
 		}
 		for bi := j.table.lookup(h); bi >= 0; bi = j.next[bi] {
@@ -1176,28 +1280,34 @@ probeLoop:
 	}
 }
 
-// matchRow applies the residual and the key recheck to one candidate
-// pair, returning the joined row on a match. The residual runs before
-// the key recheck (its errors surface first), matching the original
-// row-at-a-time order of evaluation.
-func (j *hashJoinOp) matchRow(probeRow, buildRow expr.Row) (bool, expr.Row, error) {
-	if j.residual != nil {
-		out := concatRow(probeRow, buildRow)
-		keep, err := expr.EvalBool(j.residual, out)
-		if err != nil || !keep {
-			return false, nil, err
+// joinAll joins one probe row by the whole predicate against every
+// build row in arrival order — the nested loop's rule, for the rows a
+// NaN key keeps the hash from placing.
+func (j *hashJoinOp) joinAll(probeRow expr.Row) error {
+	for _, b := range j.buildRows {
+		out, keep, err := joinMatch(j.cond, probeRow, b, &j.scratch)
+		if err != nil {
+			return err
 		}
-		eq, err := j.keysEqual(probeRow, buildRow)
-		if err != nil || !eq {
-			return false, nil, err
+		if keep {
+			j.out = append(j.out, out)
 		}
-		return true, out, nil
 	}
+	return nil
+}
+
+// matchRow applies the key recheck and then the residual to one
+// candidate pair, returning the joined row on a match.
+func (j *hashJoinOp) matchRow(probeRow, buildRow expr.Row) (bool, expr.Row, error) {
 	eq, err := j.keysEqual(probeRow, buildRow)
 	if err != nil || !eq {
 		return false, nil, err
 	}
-	return true, concatRow(probeRow, buildRow), nil
+	if j.residual == nil {
+		return true, concatRow(probeRow, buildRow), nil
+	}
+	out, keep, err := joinMatch(j.residual, probeRow, buildRow, &j.scratch)
+	return keep, out, err
 }
 
 // recheck verifies key equality behind a hash hit (collisions). typed
@@ -1237,9 +1347,9 @@ func (j *hashJoinOp) recheck(typed bool, si int, bi int32, probeRow expr.Row) (b
 	return true, nil
 }
 
-// emitPairs materializes the chunk's matches into one output slab: each
-// joined row is a sub-slice, so the headers in j.out stay valid without
-// a per-row allocation.
+// emitPairs materializes the pending matches into one output slab and
+// clears them: each joined row is a sub-slice, so the headers in j.out
+// stay valid without a per-row allocation.
 func (j *hashJoinOp) emitPairs(rows []expr.Row) {
 	if len(j.pairs) == 0 {
 		return
@@ -1255,12 +1365,28 @@ func (j *hashJoinOp) emitPairs(rows []expr.Row) {
 		slab = append(slab, j.buildRows[pr[1]]...)
 		j.out = append(j.out, expr.Row(slab[start:len(slab):len(slab)]))
 	}
+	j.pairs = j.pairs[:0]
 }
 
 func concatRow(l, r expr.Row) expr.Row {
 	out := make(expr.Row, 0, len(l)+len(r))
 	out = append(out, l...)
 	return append(out, r...)
+}
+
+// joinMatch evaluates pred over the concatenation of l and r, built in
+// the caller's reusable *scratch row; only a match allocates its
+// output row.
+func joinMatch(pred expr.Expr, l, r expr.Row, scratch *expr.Row) (expr.Row, bool, error) {
+	row := append(append((*scratch)[:0], l...), r...)
+	*scratch = row
+	keep, err := expr.EvalBool(pred, row)
+	if err != nil || !keep {
+		return nil, false, err
+	}
+	out := make(expr.Row, len(row))
+	copy(out, row)
+	return out, true, nil
 }
 
 func (j *hashJoinOp) keysEqual(l, r expr.Row) (bool, error) {
@@ -1285,7 +1411,7 @@ func (j *hashJoinOp) keysEqual(l, r expr.Row) (bool, error) {
 }
 
 func (j *hashJoinOp) Close() error {
-	j.buildRows = nil
+	j.buildRows, j.scratch = nil, nil
 	j.table = chainTable{}
 	j.next = nil
 	j.rowBuckets = nil
@@ -1296,6 +1422,11 @@ func (j *hashJoinOp) Close() error {
 
 // --- nested-loop join ---------------------------------------------------
 
+// nlJoinOp is the nested-loop join: it materializes the right (inner)
+// child and, per left row, evaluates the predicate against every inner
+// row in order. It runs only NLJoin/Join nodes the hash-join path
+// cannot take (see ExecOptions.hashNL). The predicate is evaluated on
+// one reused scratch row; only emitted rows allocate.
 type nlJoinOp struct {
 	node        *plan.Node
 	left, right Operator
@@ -1303,7 +1434,7 @@ type nlJoinOp struct {
 	rightRows   []expr.Row
 	current     expr.Row
 	ri          int
-	done        bool
+	scratch     expr.Row
 }
 
 func newNLJoin(n *plan.Node, left, right Operator) (Operator, error) {
@@ -1342,10 +1473,7 @@ func (j *nlJoinOp) Next() (expr.Row, bool, error) {
 		for j.ri < len(j.rightRows) {
 			r := j.rightRows[j.ri]
 			j.ri++
-			out := make(expr.Row, 0, len(j.current)+len(r))
-			out = append(out, j.current...)
-			out = append(out, r...)
-			keep, err := expr.EvalBool(j.cond, out)
+			out, keep, err := joinMatch(j.cond, j.current, r, &j.scratch)
 			if err != nil {
 				return nil, false, err
 			}
@@ -1358,7 +1486,7 @@ func (j *nlJoinOp) Next() (expr.Row, bool, error) {
 }
 
 func (j *nlJoinOp) Close() error {
-	j.rightRows = nil
+	j.rightRows, j.scratch = nil, nil
 	return j.left.Close()
 }
 

@@ -20,7 +20,7 @@ import (
 
 // RunObserved is Run reporting into an observer (nil behaves like Run).
 // When the observer carries a PlanProfile, every operator is wrapped to
-// collect actual rows/batches/time for EXPLAIN ANALYZE.
+// collect actual rows/batches (and, for a timed profile, time).
 func RunObserved(p *plan.Node, c *cluster.Cluster, o *obs.Observer) ([]expr.Row, *RunStats, error) {
 	return RunObservedContext(context.Background(), p, c, o)
 }
@@ -126,29 +126,51 @@ func auditRecFor(n *plan.Node) obs.AuditRecord {
 
 // --- profiling wrappers --------------------------------------------------
 
-// profOp wraps a row operator with actual-stats collection. Time is
-// inclusive of children (like EXPLAIN ANALYZE's actual time): the
-// wrapper measures the full Open/Next call, and nested operators are
-// wrapped too.
+// profOp wraps a row operator with actual-stats collection: rows, opens
+// and ends of stream always, and — under a timed profile (EXPLAIN
+// ANALYZE) — wall time inclusive of children, measured around the full
+// Open/Next call (nested operators are wrapped too). A counting profile
+// never reads the clock.
 type profOp struct {
 	op    Operator
 	stats *obs.OpStats
+	timed bool
+	ended bool // this open's end of stream is already counted
+}
+
+func newProfOp(op Operator, prof *obs.PlanProfile, n *plan.Node) *profOp {
+	return &profOp{op: op, stats: prof.Stats(n), timed: prof.Timed()}
 }
 
 func (p *profOp) Open() error {
-	t0 := time.Now()
+	var t0 time.Time
+	if p.timed {
+		t0 = time.Now()
+	}
 	err := p.op.Open()
-	p.stats.AddTime(time.Since(t0))
+	if p.timed {
+		p.stats.AddTime(time.Since(t0))
+	}
 	p.stats.Opens.Add(1)
+	p.ended = false
 	return err
 }
 
 func (p *profOp) Next() (expr.Row, bool, error) {
-	t0 := time.Now()
+	var t0 time.Time
+	if p.timed {
+		t0 = time.Now()
+	}
 	row, ok, err := p.op.Next()
-	p.stats.AddTime(time.Since(t0))
-	if ok {
+	if p.timed {
+		p.stats.AddTime(time.Since(t0))
+	}
+	switch {
+	case ok:
 		p.stats.Rows.Add(1)
+	case err == nil && !p.ended:
+		p.ended = true
+		p.stats.EOS.Add(1)
 	}
 	return row, ok, err
 }
@@ -160,23 +182,44 @@ func (p *profOp) Close() error { return p.op.Close() }
 type batchProfOp struct {
 	op    BatchOperator
 	stats *obs.OpStats
+	timed bool
+	ended bool
+}
+
+func newBatchProfOp(op BatchOperator, prof *obs.PlanProfile, n *plan.Node) *batchProfOp {
+	return &batchProfOp{op: op, stats: prof.Stats(n), timed: prof.Timed()}
 }
 
 func (p *batchProfOp) Open() error {
-	t0 := time.Now()
+	var t0 time.Time
+	if p.timed {
+		t0 = time.Now()
+	}
 	err := p.op.Open()
-	p.stats.AddTime(time.Since(t0))
+	if p.timed {
+		p.stats.AddTime(time.Since(t0))
+	}
 	p.stats.Opens.Add(1)
+	p.ended = false
 	return err
 }
 
 func (p *batchProfOp) NextBatch() (*Batch, error) {
-	t0 := time.Now()
+	var t0 time.Time
+	if p.timed {
+		t0 = time.Now()
+	}
 	b, err := p.op.NextBatch()
-	p.stats.AddTime(time.Since(t0))
-	if b != nil {
+	if p.timed {
+		p.stats.AddTime(time.Since(t0))
+	}
+	switch {
+	case b != nil:
 		p.stats.Rows.Add(int64(b.Len()))
 		p.stats.Batches.Add(1)
+	case err == nil && !p.ended:
+		p.ended = true
+		p.stats.EOS.Add(1)
 	}
 	return b, err
 }

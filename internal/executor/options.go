@@ -15,6 +15,10 @@ type ExecOptions struct {
 	// stream into BatchSize-row frames and account the encoded size, so
 	// the option changes shipped bytes identically in both.
 	Wire network.WireOptions
+	// nestedLoop runs every NLJoin/Join node as the nested-loop
+	// operator, never on the hash-join path: the reference the hashed
+	// path is checked against in tests.
+	nestedLoop bool
 }
 
 // defaultExecOptions returns the options the non-Opts entry points run

@@ -158,7 +158,7 @@ func buildParallel(n *plan.Node, eng *parallelEngine) (BatchOperator, error) {
 		return nil, err
 	}
 	if prof := eng.obsv.Prof(); prof != nil {
-		op = &batchProfOp{op: op, stats: prof.Stats(n)}
+		op = newBatchProfOp(op, prof, n)
 	}
 	return op, nil
 }
@@ -242,13 +242,14 @@ func buildParallelNode(n *plan.Node, eng *parallelEngine) (BatchOperator, error)
 		}
 		return &batchUnionOp{children: children}, nil
 	}
-	// Blocking operators materialize their inputs anyway. Hash join and
-	// hash aggregate consume the columnar batches natively through chunk
-	// feeds — no row adapter on their inputs; merge/NL join and sort
-	// reuse the row implementations via adapters.
+	// Blocking operators materialize their inputs anyway. Hash join (and
+	// every NL join node the hash path can take) and hash aggregate
+	// consume the columnar batches natively through chunk feeds — no row
+	// adapter on their inputs; merge join, the remaining NL joins and
+	// sort reuse the row implementations via adapters.
 	var op Operator
 	var err error
-	switch n.Kind {
+	switch eng.opt.execKind(n) {
 	case plan.HashJoin:
 		left, lerr := buildParallel(n.Children[0], eng)
 		if lerr != nil {

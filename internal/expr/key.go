@@ -112,6 +112,9 @@ func (v *Vec) HashAt(i int) uint64 {
 		} else {
 			f = float64(v.I[i])
 		}
+		if f == 0 {
+			f = 0 // -0.0 hashes as 0.0, as in Value.Hash
+		}
 		bits := math.Float64bits(f)
 		for j := 0; j < 8; j++ {
 			h = (h ^ uint64(byte(bits>>(8*j)))) * prime64

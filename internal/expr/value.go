@@ -263,8 +263,13 @@ func (v Value) Hash() uint64 {
 	case TBool:
 		mix(byte(v.I & 1))
 	default:
-		// Hash numerics through float64 so 1 (int) == 1.0 (float).
-		bits := math.Float64bits(v.Float())
+		// Hash numerics through float64 so 1 (int) == 1.0 (float), and
+		// -0.0 as 0.0: Compare orders them equal.
+		f := v.Float()
+		if f == 0 {
+			f = 0
+		}
+		bits := math.Float64bits(f)
 		for i := 0; i < 8; i++ {
 			mix(byte(bits >> (8 * i)))
 		}

@@ -170,6 +170,26 @@ func TestHashStringProperty(t *testing.T) {
 	}
 }
 
+// -0.0 compares equal to 0.0 (and to integer 0), so it must hash
+// equally, through Value.Hash and Vec.HashAt alike: hash joins would
+// otherwise miss matches a predicate finds.
+func TestHashNegativeZero(t *testing.T) {
+	negZero := NewFloat(math.Copysign(0, -1))
+	if c, err := negZero.Compare(NewFloat(0)); err != nil || c != 0 {
+		t.Fatalf("Compare(-0.0, 0.0) = %d, %v", c, err)
+	}
+	want := NewInt(0).Hash()
+	if negZero.Hash() != want || NewFloat(0).Hash() != want {
+		t.Fatalf("hashes: -0.0 %x, 0.0 %x, int 0 %x", negZero.Hash(), NewFloat(0).Hash(), want)
+	}
+	var v Vec
+	v.reset(TFloat, 1)
+	v.F[0] = negZero.F
+	if v.HashAt(0) != want {
+		t.Fatalf("Vec.HashAt(-0.0) = %x, want %x", v.HashAt(0), want)
+	}
+}
+
 func TestHashDistinguishes(t *testing.T) {
 	// Not a strict requirement, but these common values should not collide.
 	vals := []Value{NewInt(0), NewInt(1), NewString(""), NewString("a"), NullValue(), NewBool(true)}

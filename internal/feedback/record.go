@@ -37,6 +37,10 @@ type OpQError struct {
 //     their actuals below the true cardinality.
 //   - Re-opened operators (NL-join inner sides) accumulate rows across
 //     opens, so the actual is normalized per open.
+//   - An operator is used only when every open reached end of stream:
+//     a consumer that stopped pulling early (a hash join skips draining
+//     its build side behind an empty probe) leaves Rows short of the
+//     cardinality, and a never-opened operator has no actual at all.
 //   - Binary joins are recorded under both child orders; a join's
 //     output cardinality does not depend on which side builds.
 func RecordExecution(s *Store, root *plan.Node, prof *obs.PlanProfile) []OpQError {
@@ -70,7 +74,7 @@ func RecordExecution(s *Store, root *plan.Node, prof *obs.PlanProfile) []OpQErro
 			return digest
 		}
 		st := prof.Peek(n)
-		if st == nil || st.Opens.Load() == 0 {
+		if !st.Complete() {
 			return digest
 		}
 		opens := st.Opens.Load()

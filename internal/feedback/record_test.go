@@ -18,10 +18,36 @@ func scanNode(name, loc string, rows int64) *plan.Node {
 	return n
 }
 
+// mark records an operator that ran to end of stream on every open.
 func mark(prof *obs.PlanProfile, n *plan.Node, rows, opens int64) {
 	st := prof.Stats(n)
 	st.Rows.Store(rows)
 	st.Opens.Store(opens)
+	st.EOS.Store(opens)
+}
+
+// TestRecordExecutionSkipsUndrained: an operator whose consumer stopped
+// pulling before end of stream (a hash join's build side behind an
+// empty probe reports Opens=1, Rows=0) is not an observed cardinality.
+func TestRecordExecutionSkipsUndrained(t *testing.T) {
+	s := NewStore(Options{EWMAAlpha: 1})
+	scan := scanNode("t", "L1", 200)
+	prof := obs.NewCountingProfile()
+	st := prof.Stats(scan)
+	st.Opens.Store(1) // opened, never drained: Rows stays 0, EOS 0
+	if qerrs := RecordExecution(s, scan, prof); len(qerrs) != 0 {
+		t.Fatalf("undrained operator reported: %+v", qerrs)
+	}
+	if _, ok := s.CardHint(scan.SubplanDigest()); ok {
+		t.Fatal("undrained operator's rows=0 was recorded as its cardinality")
+	}
+	// Two opens, only one drained: still not an observation.
+	st.Opens.Store(2)
+	st.EOS.Store(1)
+	st.Rows.Store(200)
+	if qerrs := RecordExecution(s, scan, prof); len(qerrs) != 0 {
+		t.Fatalf("partly drained operator reported: %+v", qerrs)
+	}
 }
 
 func TestRecordExecutionFeedsStore(t *testing.T) {

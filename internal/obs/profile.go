@@ -10,9 +10,10 @@ import (
 	"cgdqp/internal/plan"
 )
 
-// OpStats accumulates per-operator actuals for EXPLAIN ANALYZE. Fields
-// are atomics because the parallel engine updates an operator's stats
-// from its fragment goroutine while other fragments run.
+// OpStats accumulates per-operator actuals for EXPLAIN ANALYZE and the
+// feedback loop. Fields are atomics because the parallel engine updates
+// an operator's stats from its fragment goroutine while other fragments
+// run.
 type OpStats struct {
 	// Rows is the number of rows the operator produced.
 	Rows atomic.Int64
@@ -21,8 +22,24 @@ type OpStats struct {
 	Batches atomic.Int64
 	// Opens counts Open calls (re-opened inner sides exceed 1).
 	Opens atomic.Int64
-	// timeNS is wall time attributed to the operator.
+	// EOS counts the opens whose stream reached its end (at most one
+	// per open). An operator whose consumer stopped pulling early — a
+	// hash join's build side behind an empty probe — has EOS < Opens,
+	// and its Rows is then not its cardinality.
+	EOS atomic.Int64
+	// timeNS is wall time attributed to the operator (timed profiles
+	// only).
 	timeNS atomic.Int64
+}
+
+// Complete reports that the operator ran and every open reached end of
+// stream, so Rows/Opens is an observed cardinality.
+func (s *OpStats) Complete() bool {
+	if s == nil {
+		return false
+	}
+	opens := s.Opens.Load()
+	return opens > 0 && s.EOS.Load() == opens
 }
 
 // AddTime attributes wall time to the operator.
@@ -44,15 +61,32 @@ func (s *OpStats) Time() time.Duration {
 // the physical plan node the operator was built from. A nil profile is
 // a valid disabled one: Stats returns nil and the nil *OpStats methods
 // no-op, so unprofiled runs pay only a pointer check.
+//
+// A profile is timed or counting. Both count rows, batches, opens and
+// ends of stream; only a timed one also reads the clock around every
+// operator call, which is what EXPLAIN ANALYZE's time= needs and what
+// the feedback loop and the slow-query log, reading counts only, must
+// not pay for.
 type PlanProfile struct {
 	mu    sync.Mutex
 	stats map[*plan.Node]*OpStats
+	timed bool
 }
 
-// NewPlanProfile returns an empty profile.
+// NewPlanProfile returns an empty timed profile (EXPLAIN ANALYZE).
 func NewPlanProfile() *PlanProfile {
+	return &PlanProfile{stats: map[*plan.Node]*OpStats{}, timed: true}
+}
+
+// NewCountingProfile returns an empty counting profile: the same
+// actuals as NewPlanProfile without wall time, so executors never read
+// the clock for it.
+func NewCountingProfile() *PlanProfile {
 	return &PlanProfile{stats: map[*plan.Node]*OpStats{}}
 }
+
+// Timed reports whether operators should attribute wall time.
+func (p *PlanProfile) Timed() bool { return p != nil && p.timed }
 
 // Stats returns (creating on first use) the stats slot for the node.
 func (p *PlanProfile) Stats(n *plan.Node) *OpStats {
@@ -104,8 +138,8 @@ func formatDur(d time.Duration) string {
 //
 //	HashJoin[...]  [@N exec={N} rows=1000]  (actual rows=1000 batches=2 time=1.25ms)
 //
-// Operators the profile has no stats for (never opened, e.g. pruned
-// inner sides) render "(never executed)".
+// A counting profile omits time=. Operators the profile has no stats
+// for (never opened, e.g. pruned inner sides) render "(never executed)".
 func (p *PlanProfile) Format(root *plan.Node) string {
 	var b strings.Builder
 	p.format(&b, root, 0)
@@ -135,8 +169,11 @@ func (p *PlanProfile) format(b *strings.Builder, n *plan.Node, depth int) {
 		b.WriteString("  [" + strings.Join(tags, " ") + "]")
 	}
 	if s := p.lookup(n); s != nil {
-		b.WriteString(fmt.Sprintf("  (actual rows=%d batches=%d time=%s)",
-			s.Rows.Load(), s.Batches.Load(), formatDur(s.Time())))
+		b.WriteString(fmt.Sprintf("  (actual rows=%d batches=%d", s.Rows.Load(), s.Batches.Load()))
+		if p.timed {
+			b.WriteString(" time=" + formatDur(s.Time()))
+		}
+		b.WriteByte(')')
 	} else {
 		b.WriteString("  (never executed)")
 	}

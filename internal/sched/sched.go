@@ -644,7 +644,9 @@ func (s *Server) serve(t *task) {
 }
 
 // finish records the task's outcome exactly once and releases its
-// context resources.
+// context resources. The waiter is woken last, so a caller returning
+// from Wait already sees the task in the counters, histograms and slow
+// log.
 func (s *Server) finish(t *task, resp *Response, err error) {
 	t.once.Do(func() {
 		if resp != nil {
@@ -652,7 +654,7 @@ func (s *Server) finish(t *task, resp *Response, err error) {
 		}
 		t.resp, t.err = resp, err
 		t.cancel()
-		close(t.done)
+		defer close(t.done)
 		status := "ok"
 		switch {
 		case err == nil:
@@ -708,15 +710,15 @@ func (s *Server) census(located *plan.Node) map[string]int {
 	return siteCensus(located, s.opts.siteSlots())
 }
 
-// runPlanFeedback executes the located plan, installing a plan profile
-// when telemetry is on so per-operator actuals flow into the feedback
-// store and the task's slow-log context after a successful run.
+// runPlanFeedback executes the located plan, installing a counting plan
+// profile when telemetry is on so per-operator actuals flow into the
+// feedback store and the task's slow-log context after a successful run.
 func (s *Server) runPlanFeedback(t *task, located *plan.Node, o *obs.Observer) ([]expr.Row, *executor.RunStats, error) {
 	runObs := o
 	var prof *obs.PlanProfile
 	if s.opts.Feedback != nil || s.opts.SlowLog != nil {
 		if prof = o.Prof(); prof == nil {
-			prof = obs.NewPlanProfile()
+			prof = obs.NewCountingProfile()
 			runObs = o.WithProfile(prof)
 		}
 		if s.opts.SlowLog != nil {
